@@ -17,9 +17,8 @@ The baseline file maps benchmark names to points::
                                                 "message_ratio": 1.8,
                                                 "byte_ratio": 1.5}}}}
 
-(a legacy flat baseline holding a single point with a ``benchmark`` key
-is still understood).  Each fresh file names its benchmark in its
-``benchmark`` key and is gated against the matching baseline entry.
+Each fresh file names its benchmark in its ``benchmark`` key and is
+gated against the matching baseline entry.
 
 Schema v3 adds optional per-point ``budgets``: hard ceilings on
 additional fresh metrics (e.g. the network-centric DHT mode's
@@ -60,15 +59,9 @@ def load_json(path: Path) -> dict:
 def baseline_points(path: Path) -> Dict[str, dict]:
     """The committed baseline as {benchmark name: point}."""
     data = load_json(path)
-    if "benchmarks" in data:
-        return dict(data["benchmarks"])
-    name = data.get("benchmark")
-    if name is None:
-        sys.exit(
-            f"check_regression: {path} has neither a 'benchmarks' map nor "
-            f"a legacy 'benchmark' key"
-        )
-    return {name: data}
+    if "benchmarks" not in data:
+        sys.exit(f"check_regression: {path} has no 'benchmarks' map")
+    return dict(data["benchmarks"])
 
 
 def check_point(fresh: dict, baseline: dict, threshold: float) -> bool:

@@ -108,7 +108,6 @@ from repro.policy import (
     policy_from_priorities,
 )
 from repro.store import (
-    CentralUpdateStore,
     DhtUpdateStore,
     DurableUpdateStore,
     MemoryUpdateStore,
@@ -130,7 +129,6 @@ __version__ = "2.0.0"
 __all__ = [
     "AcceptanceRule",
     "CDSS",
-    "CentralUpdateStore",
     "Confederation",
     "ConfederationConfig",
     "ConfederationReport",

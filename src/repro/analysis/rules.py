@@ -51,7 +51,7 @@ from repro.confed.hooks import EVENTS as HOOK_EVENTS
 STORE_CLASS_NAMES: Tuple[str, ...] = (
     "UpdateStore",
     "MemoryUpdateStore",
-    "CentralUpdateStore",
+    "DurableUpdateStore",
     "DhtUpdateStore",
     "NetworkCentricMixin",
 )

@@ -18,13 +18,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.confed import Confederation, ConfederationConfig
 from repro.store.base import UpdateStore
-from repro.store.central import CentralUpdateStore
 from repro.store.dht import DhtUpdateStore
+from repro.store.registry import create_store
 from repro.workload.generator import WorkloadConfig, curated_schema
 
 #: Store factories for the timing experiments, keyed by the paper's names.
 STORE_FACTORIES: Dict[str, Callable[[int], UpdateStore]] = {
-    "central": lambda peers: CentralUpdateStore(curated_schema()),
+    "central": lambda peers: create_store("central", curated_schema()),
     "distributed": lambda peers: DhtUpdateStore(
         curated_schema(), hosts=max(2, peers)
     ),

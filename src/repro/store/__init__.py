@@ -5,24 +5,25 @@ antecedent edges at publish time, applies trust predicates, assembles
 reconciliation batches, and records each participant's decisions so no
 transaction is delivered twice.
 
-Four implementations share the :class:`repro.store.base.UpdateStore`
-interface and are registered in the **driver registry**
-(:mod:`repro.store.registry`) so backends are selected by name with
-honest capability flags:
+Three implementations share the :class:`repro.store.base.UpdateStore`
+interface and are registered under four names in the **driver
+registry** (:mod:`repro.store.registry`) so backends are selected by
+name with honest capability flags:
 
 * ``memory`` — :class:`repro.store.memory.MemoryUpdateStore` — plain
   in-process state; fastest, used by the state-ratio simulations; ships
   context-free extensions and the shared pair memo;
-* ``central`` — :class:`repro.store.central.CentralUpdateStore` — the
-  paper's central relational store (Section 5.2.1), here on sqlite3,
-  with the epoch begin/finish protocol and stable-epoch computation;
-  durable, ships context-free extensions and the shared pair memo;
-* ``durable`` — :class:`repro.store.durable.DurableUpdateStore` — the
-  persistent quadrant (PR 9): the central store's append-only schema on
-  a real database file (WAL mode, crash recovery, adopt-on-reopen),
-  transaction bodies paged through a bounded LRU so resident memory is
-  O(open frontier), and retired shared-memo entries spilled to disk
-  instead of dropped;
+* ``central`` and ``durable`` — :class:`repro.store.durable.DurableUpdateStore`
+  — the paper's central relational store (Section 5.2.1) on sqlite3:
+  the epoch begin/finish protocol and stable-epoch computation, an
+  append-only schema on a database file (WAL mode, crash recovery,
+  adopt-on-reopen), transaction bodies paged through a bounded LRU so
+  resident memory is O(open frontier), and retired shared-memo entries
+  spilled to disk instead of dropped.  The two names differ only in the
+  per-call cost model: ``central`` charges
+  :data:`repro.store.durable.JDBC_CALL_OVERHEAD` per store call (the
+  paper's remote commercial RDBMS), ``durable`` charges none (an
+  embedded store);
 * ``dht`` — :class:`repro.store.dht.DhtUpdateStore` — the paper's
   distributed store (Section 5.2.2), simulated over a Pastry-style ring
   with per-message latency and byte accounting (Figures 6-7); since
@@ -41,9 +42,8 @@ engine changes.
 """
 
 from repro.store.base import PerfCounters, UpdateStore
-from repro.store.central import CentralUpdateStore
 from repro.store.dht import DhtUpdateStore
-from repro.store.durable import DurableUpdateStore
+from repro.store.durable import JDBC_CALL_OVERHEAD, DurableUpdateStore
 from repro.store.memory import MemoryUpdateStore
 from repro.store.registry import (
     StoreCapabilities,
@@ -63,8 +63,10 @@ register_store(
 )
 register_store(
     "central",
-    lambda schema, **options: CentralUpdateStore(schema, **options),
-    CentralUpdateStore.capabilities,
+    lambda schema, **options: DurableUpdateStore(
+        schema, **{"call_overhead_seconds": JDBC_CALL_OVERHEAD, **options}
+    ),
+    DurableUpdateStore.capabilities,
 )
 register_store(
     "dht",
@@ -78,7 +80,6 @@ register_store(
 )
 
 __all__ = [
-    "CentralUpdateStore",
     "DhtUpdateStore",
     "DurableUpdateStore",
     "MemoryUpdateStore",

@@ -20,15 +20,15 @@ can do:
   it tracks every participant's applied set, derives each
   participant's update extensions *against that applied set*, computes
   the pairwise conflict adjacency store-side, and hands the engine a
-  fully-assembled batch.  Every built-in declares it —
-  memory/central/durable through direct log access
+  fully-assembled batch.  Every built-in declares it — memory and the
+  sqlite store (``central``/``durable``) through direct log access
   (:class:`~repro.store.network_centric.NetworkCentricMixin`), the DHT
   through its ring protocol (:mod:`repro.store.dht`).
 
 The built-in backends (``memory``, ``central``, ``durable``, ``dht``)
-are registered
-by :mod:`repro.store` at import time; see ``register_store`` for adding
-more.
+are registered by :mod:`repro.store` at import time; ``central`` and
+``durable`` are one sqlite class under two cost-model defaults.  See
+``register_store`` for adding more.
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ class StoreCapabilities:
     shared_pair_memo: bool = False
     durable: bool = False
     network_centric_batches: bool = False
-
-    @property
-    def network_centric(self) -> bool:
-        """Deprecated alias for :attr:`network_centric_batches` (the
-        pre-PR 5 flag name).  Attribute reads only: the constructor
-        takes the new name, and :meth:`as_dict` emits the new key."""
-        return self.network_centric_batches
 
     def as_dict(self) -> Dict[str, bool]:
         """The flags as a plain dict (for reports and snapshots)."""

@@ -34,7 +34,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 #: rule code → (fixture file, expected number of findings)
 FIXTURE_BY_CODE = {
-    "RPR001": ("rpr001_store_type_check.txt", 1),
+    "RPR001": ("rpr001_store_type_check.txt", 2),
     "RPR002": ("rpr002_unseeded_random.txt", 2),
     "RPR003": ("rpr003_wall_clock.txt", 1),
     "RPR004": ("rpr004_direct_store_call.txt", 1),

@@ -204,9 +204,12 @@ class TestRegressionGate:
         )
         assert main([str(fresh), "--baseline", str(baseline)]) == 1
 
-    def test_legacy_flat_baseline_still_understood(self, tmp_path):
+    def test_baseline_without_benchmarks_map_is_an_error(self, tmp_path):
+        import pytest as _pytest
+
         from benchmarks.check_regression import main
 
+        # The pre-v2 flat layout: a single point, no "benchmarks" map.
         baseline = self._write(
             tmp_path / "baseline.json",
             {"benchmark": "engine_reconciliation", "speedup": 4.0},
@@ -215,7 +218,10 @@ class TestRegressionGate:
             tmp_path / "e.json",
             {"benchmark": "engine_reconciliation", "speedup": 4.1},
         )
-        assert main([str(fresh), "--baseline", str(baseline)]) == 0
+        with _pytest.raises(SystemExit) as exited:
+            main([str(fresh), "--baseline", str(baseline)])
+        assert exited.value.code != 0
+        assert "has no 'benchmarks' map" in str(exited.value.code)
 
     def test_unknown_benchmark_name_is_an_error(self, tmp_path):
         import pytest as _pytest

@@ -12,7 +12,7 @@ import pytest
 from repro.cdss import CDSS
 from repro.model import Insert
 from repro.policy import TrustPolicy, policy_from_priorities
-from repro.store import CentralUpdateStore, DhtUpdateStore, MemoryUpdateStore
+from repro.store import DhtUpdateStore, MemoryUpdateStore, create_store
 from repro.workload import WorkloadConfig, WorkloadGenerator, curated_schema
 
 
@@ -29,7 +29,7 @@ def store_factory(request):
             return MemoryUpdateStore(schema)
         if request.param == "dht":
             return DhtUpdateStore(schema, hosts=4)
-        return CentralUpdateStore(schema)
+        return create_store("central", schema)
 
     return factory
 

@@ -13,7 +13,7 @@ from repro.cdss import CDSS
 from repro.core import Resolution
 from repro.model import Insert, Modify
 from repro.policy import policy_from_priorities
-from repro.store import CentralUpdateStore, DhtUpdateStore, MemoryUpdateStore
+from repro.store import DhtUpdateStore, MemoryUpdateStore, create_store
 
 
 RAT_METAB = ("rat", "prot1", "cell-metab")
@@ -27,7 +27,7 @@ def cdss(request, schema):
     if request.param == "memory":
         yield CDSS(MemoryUpdateStore(schema))
     elif request.param == "central":
-        with CentralUpdateStore(schema) as store:
+        with create_store("central", schema) as store:
             yield CDSS(store)
     else:
         yield CDSS(DhtUpdateStore(schema, hosts=3))

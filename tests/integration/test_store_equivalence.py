@@ -19,10 +19,10 @@ import pytest
 from repro.cdss import Simulation, SimulationConfig
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.store import (
-    CentralUpdateStore,
     DhtUpdateStore,
     DurableUpdateStore,
     MemoryUpdateStore,
+    create_store,
 )
 from repro.workload import WorkloadConfig, curated_schema
 
@@ -32,7 +32,7 @@ def run_with(store_name: str, seed: int):
     if store_name == "memory":
         store = MemoryUpdateStore(schema)
     elif store_name == "central":
-        store = CentralUpdateStore(schema)
+        store = create_store("central", schema)
     elif store_name == "durable":
         store = DurableUpdateStore(schema, cache_size=8)
     else:

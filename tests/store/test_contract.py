@@ -15,10 +15,10 @@ from repro.errors import StoreError
 from repro.model import Insert, Modify, make_transaction
 from repro.policy import TrustPolicy
 from repro.store import (
-    CentralUpdateStore,
     DhtUpdateStore,
     DurableUpdateStore,
     MemoryUpdateStore,
+    create_store,
 )
 
 
@@ -33,7 +33,7 @@ def store(request, schema, tmp_path):
     if request.param == "memory":
         yield MemoryUpdateStore(schema)
     elif request.param == "central":
-        with CentralUpdateStore(schema) as central:
+        with create_store("central", schema) as central:
             yield central
     elif request.param == "durable":
         with DurableUpdateStore(

@@ -13,7 +13,7 @@ import pytest
 from repro.errors import StoreError
 from repro.model import Insert, make_transaction
 from repro.policy import TrustPolicy
-from repro.store import CentralUpdateStore, DhtUpdateStore, MemoryUpdateStore
+from repro.store import DhtUpdateStore, MemoryUpdateStore, create_store
 
 
 RAT1 = ("rat", "prot1", "immune")
@@ -25,7 +25,7 @@ def store(request, schema):
     if request.param == "memory":
         yield MemoryUpdateStore(schema)
     elif request.param == "central":
-        with CentralUpdateStore(schema) as central:
+        with create_store("central", schema) as central:
             yield central
     else:
         yield DhtUpdateStore(schema, hosts=4)

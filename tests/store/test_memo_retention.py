@@ -13,12 +13,12 @@ from repro.core.decisions import ReconcileResult
 from repro.model import Insert
 from repro.model.transactions import Transaction, TransactionId
 from repro.policy import TrustPolicy
-from repro.store import CentralUpdateStore, MemoryUpdateStore
+from repro.store import MemoryUpdateStore, create_store
 from repro.workload import WorkloadConfig, curated_schema
 
 
-def mutual_store(store_cls):
-    store = store_cls(curated_schema())
+def mutual_store(factory):
+    store = factory(curated_schema())
     for pid in (1, 2, 3):
         policy = TrustPolicy()
         for other in (1, 2, 3):
@@ -54,7 +54,7 @@ class TestRetention:
         assert txn.tid not in store._nc_context_free
 
     def test_central_memo_retired_once_all_participants_decided(self):
-        store = mutual_store(CentralUpdateStore)
+        store = mutual_store(lambda schema: create_store("central", schema))
         txn = self._publish_one(store)
         store.begin_reconciliation(2)
         store.begin_reconciliation(3)

@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.store import (
-    CentralUpdateStore,
     DhtUpdateStore,
+    DurableUpdateStore,
     MemoryUpdateStore,
     StoreCapabilities,
     available_stores,
@@ -17,6 +17,7 @@ from repro.store import (
     store_driver,
     unregister_store,
 )
+from repro.store.durable import JDBC_CALL_OVERHEAD
 from repro.workload import curated_schema
 
 
@@ -27,8 +28,20 @@ class TestBuiltinDrivers:
     def test_create_by_name(self):
         schema = curated_schema()
         assert isinstance(create_store("memory", schema), MemoryUpdateStore)
-        assert isinstance(create_store("central", schema), CentralUpdateStore)
+        assert isinstance(create_store("central", schema), DurableUpdateStore)
         assert isinstance(create_store("dht", schema), DhtUpdateStore)
+
+    def test_central_is_durable_with_the_jdbc_cost_model(self):
+        schema = curated_schema()
+        central = create_store("central", schema)
+        durable = create_store("durable", schema)
+        assert type(central) is type(durable)
+        assert central._call_overhead == JDBC_CALL_OVERHEAD
+        assert durable._call_overhead == 0.0
+        assert store_capabilities("central") == store_capabilities("durable")
+        # The cost-model default stays overridable by option.
+        free = create_store("central", schema, call_overhead_seconds=0.0)
+        assert free._call_overhead == 0.0
 
     def test_factory_options_forwarded(self):
         store = create_store("dht", curated_schema(), hosts=7)
@@ -47,7 +60,7 @@ class TestCapabilityFlags:
             caps = store_capabilities(name)
             assert caps.ships_context_free
             assert caps.shared_pair_memo
-            assert caps.network_centric
+            assert caps.network_centric_batches
 
     def test_dht_flags_are_honest(self):
         # Since PR 3 the DHT derives context-free extensions at publish
@@ -57,8 +70,6 @@ class TestCapabilityFlags:
         assert caps.ships_context_free
         assert caps.shared_pair_memo
         assert caps.network_centric_batches
-        # The pre-PR 5 flag name keeps reading the same truth.
-        assert caps.network_centric
 
     def test_dht_shipping_opt_out_downgrades_instance_flags(self):
         # ship_context_free=False restores the paper's client-compute-only

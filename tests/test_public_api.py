@@ -39,7 +39,6 @@ EXPECTED_ALL = {
     "MessageFault",
     "ParticipantRestart",
     # Stores and the driver registry
-    "CentralUpdateStore",
     "DhtUpdateStore",
     "DurableUpdateStore",
     "MemoryUpdateStore",
